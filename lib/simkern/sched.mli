@@ -33,7 +33,9 @@ val create : unit -> t
 
 val spawn : t -> ?name:string -> (unit -> unit) -> tid
 (** Create a thread. When called from inside a running thread the child's
-    clock starts at the parent's current time; otherwise at 0. *)
+    clock starts at the parent's current time; otherwise at 0. Tids come
+    from a counter that {!suspend_timeout} also draws from, so they
+    increase but can have gaps. *)
 
 val run : t -> unit
 (** Execute until no thread is runnable. @raise Deadlock if threads remain
@@ -46,8 +48,10 @@ val outcomes : t -> (tid * string * outcome) list
 (** All finished threads, in tid order. *)
 
 val horizon : t -> float
-(** Largest clock reached by any thread — the makespan of the simulation,
-    used for throughput computations. *)
+(** Largest clock reached by any thread, or by any {!suspend_timeout}
+    deadline that fired (a deadline that fires after its waiter was woken
+    still counts) — the makespan of the simulation, used for throughput
+    computations. *)
 
 (** The functions below may only be called from inside a running thread. *)
 
@@ -86,6 +90,19 @@ val suspend : (wake -> unit) -> unit
 (** Block the current thread. The registration function receives the wake
     callback and must arrange for it to be invoked later (e.g. stash it in
     a wait queue). *)
+
+val suspend_timeout : deadline:float -> (wake -> unit) -> unit
+(** {!suspend} with a deadline: if no other wake arrives first, the
+    scheduler wakes the thread at [deadline] itself (its clock jumps there
+    and the jump counts as waited time). Whichever wake comes first wins;
+    the other is a no-op, as is the deadline after a {!kill}. The caller
+    re-checks its condition on return, as after any suspension.
+
+    The deadline is a run-queue entry, not a thread: it takes the next tid
+    from the counter {!spawn} uses (so same-time events keep their order
+    as if a timer thread had been spawned here) but never appears in
+    {!outcomes}. For the same reason the trace hook sees it as a
+    [Spawned] child of the waiter. *)
 
 val join : tid -> unit
 (** Block until the given thread finishes. Does not re-raise its
