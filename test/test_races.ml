@@ -547,7 +547,7 @@ let test_cluster_differential () =
       check Alcotest.string
         (Printf.sprintf "seed %d: cluster run byte-identical" seed)
         off on)
-    [ 3; 7; 11 ]
+    [ 3; 7; 11; 23; 42 ]
 
 (* {1 Dlock poisoning under cluster failover} *)
 
@@ -634,6 +634,6 @@ let () =
         [
           Alcotest.test_case "kvcache, 5 seeds" `Slow test_kv_differential;
           Alcotest.test_case "httpd, 5 seeds" `Slow test_web_differential;
-          Alcotest.test_case "cluster, 3 seeds" `Slow test_cluster_differential;
+          Alcotest.test_case "cluster, 5 seeds" `Slow test_cluster_differential;
         ] );
     ]
