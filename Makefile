@@ -5,8 +5,8 @@
 all: check
 
 # Tier-1 gate: full build plus the default test suites. The runtest
-# alias depends on @lint (see the root dune file), so this is build +
-# tests + lint in one command.
+# alias depends on @lint and the two recovery soak campaigns (see the
+# root dune file), so this is build + tests + lint + soaks in one command.
 check:
 	dune build
 	dune runtest

@@ -4,7 +4,6 @@ module Space = Vmem.Space
 module Prot = Vmem.Prot
 module Api = Sdrad.Api
 module Types = Sdrad.Types
-module Supervisor = Resilience.Supervisor
 module Fault_inject = Resilience.Fault_inject
 module Journal = Resilience.Journal
 
@@ -12,7 +11,7 @@ let log_src = Logs.Src.create "sdrad.httpd" ~doc:"web server"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type variant = Baseline | Tlsf_alloc | Sdrad
+type variant = Serve.variant = Baseline | Tlsf_alloc | Sdrad
 
 type config = {
   variant : variant;
@@ -31,9 +30,6 @@ type config = {
   per_worker_domains : bool;
   journal_cap : int;
   shed_queue_limit : int;
-  shed_wait_limit : float;
-  nonblocking_admit : bool;
-  verify_policy : bool;
   race_detector : bool;  (* attach the dynamic race detector at start *)
   gate_batch_limit : int;  (* requests coalesced per batched gate; 0 = off *)
 }
@@ -56,9 +52,6 @@ let default_config =
     per_worker_domains = false;
     journal_cap = 256;
     shed_queue_limit = 0;
-    shed_wait_limit = 0.0;
-    nonblocking_admit = false;
-    verify_policy = false;
     race_detector = false;
     gate_batch_limit = 0;
   }
@@ -81,97 +74,26 @@ type t = {
   space : Space.t;
   cfg : config;
   sd : Api.t option;
-  sup : Supervisor.t option;
   faults : Fault_inject.t option;
+  pipe : Serve.t;
   fs : Fs.t;
   listener : Netsim.listener;
   slots : worker_slot array;
   mutable master_tid : Sched.tid;
   mutable all_tids : Sched.tid list;
-  conns : (int, int) Hashtbl.t;  (* conn id -> conn buffer *)
   deaths : (int * float) Queue.t;
   death_lock : Sched.Mutex.mutex;
   death_cond : Sched.Cond.cond;
   mutable stopping : bool;
-  buf_alloc : int -> int;
-  buf_free : int -> unit;
   pool_alloc : int -> int;
-  metrics : Telemetry.Metrics.t;
-  journal : Journal.t;  (* master-process state: survives domain discards *)
   mutable post_count : int;  (* the mutable state behind POST /count *)
   c_served : Telemetry.Metrics.counter;
-  c_rewinds : Telemetry.Metrics.counter;
   c_restarts : Telemetry.Metrics.counter;
   c_dropped : Telemetry.Metrics.counter;
   c_proactive : Telemetry.Metrics.counter;
   c_busy_503 : Telemetry.Metrics.counter;
-  c_shed : Telemetry.Metrics.counter;
-  h_rewind_cycles : Telemetry.Metrics.histogram;
-  mutable rewind_lat : float list;
   mutable restart_lat : float list;
-  mutable race : Analysis.Race.t option;
 }
-
-let glibc_allocator space =
-  (* Bump arena with per-size free lists: freed chunks are recycled, as
-     glibc's bins would, so the model neither leaks RSS nor charges real
-     allocator work (that is what the constants are for). *)
-  let arena = ref 0 and off = ref 0 and arena_len = 256 * 1024 in
-  let bins : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let bin n =
-    match Hashtbl.find_opt bins n with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace bins n l;
-        l
-  in
-  let sizes : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let alloc n =
-    Sched.charge 80.0;
-    let n = (n + 15) land lnot 15 in
-    let p =
-      match !(bin n) with
-      | p :: rest ->
-          (bin n) := rest;
-          p
-      | [] ->
-          if !arena = 0 || !off + n > arena_len then begin
-            arena := Space.mmap space ~len:(max arena_len n) ~prot:Prot.rw ~pkey:0;
-            off := 0
-          end;
-          let p = !arena + !off in
-          off := !off + n;
-          p
-    in
-    Hashtbl.replace sizes p n;
-    p
-  in
-  let free p =
-    Sched.charge 50.0;
-    match Hashtbl.find_opt sizes p with
-    | Some n ->
-        Hashtbl.remove sizes p;
-        (bin n) := p :: !(bin n)
-    | None -> ()
-  in
-  (alloc, free)
-
-let tlsf_allocator space =
-  let heap = Tlsf.create space ~name:"httpd-bufs" in
-  let grow len =
-    let len = max len (1024 * 1024) in
-    let region = Space.mmap space ~len ~prot:Prot.rw ~pkey:0 in
-    Tlsf.add_region heap ~addr:region ~len
-  in
-  let alloc n =
-    match Tlsf.malloc_opt heap n with
-    | Some p -> p
-    | None ->
-        grow (n + 64);
-        Tlsf.malloc heap n
-  in
-  (alloc, (fun p -> Tlsf.free heap p), heap)
 
 let conn_token keep_alive = if keep_alive then "keep-alive" else "close"
 
@@ -244,11 +166,8 @@ let respond t slot c ~meth ~version ~path ~headers ~body =
                  stack canary and triggers a rewind. *)
               Api.run sd ~udi:t.cfg.cert_udi
                 ~on_rewind:(fun f ->
-                  Telemetry.Metrics.inc t.c_rewinds;
                   slot.slot_rewinds <- slot.slot_rewinds + 1;
-                  let lat = Sched.now () -. f.Types.at in
-                  t.rewind_lat <- lat :: t.rewind_lat;
-                  Telemetry.Metrics.observe t.h_rewind_cycles lat;
+                  Serve.rewound t.pipe f;
                   `Faulted)
                 (fun () ->
                   Api.enter sd t.cfg.cert_udi;
@@ -272,7 +191,7 @@ let respond t slot c ~meth ~version ~path ~headers ~body =
       | "GET" when path = "/metrics" ->
           (* Prometheus scrape endpoint: the registry's text exposition. *)
           Netsim.send c
-            (http_200 ~keep_alive (Telemetry.Metrics.expose t.metrics))
+            (http_200 ~keep_alive (Telemetry.Metrics.expose t.pipe.metrics))
       | "GET" -> (
           match Fs.lookup t.fs path with
           | Some _ -> Netsim.send c (http_200 ~keep_alive (Fs.read_body t.fs path))
@@ -315,56 +234,63 @@ let respond t slot c ~meth ~version ~path ~headers ~body =
             end
             else http_405
           in
-          let reply =
-            match Http_parse.find_header headers "x-request-id" with
-            | None -> compute ()
-            | Some rid -> (
-                match Journal.find t.journal rid with
-                | Some r ->
-                    (* Journal hit: a consequence of the original op's
-                       earlier attempt — record it under the retry's
-                       (already installed) trace id. *)
-                    (match t.sd with
-                    | Some sd ->
-                        Api.flight_event sd Checkpoint.Flight.Replay
-                    | None -> ());
-                    r
-                | None ->
-                    let r = compute () in
-                    Journal.record t.journal rid r;
-                    r)
-          in
-          Netsim.send c reply
+          Netsim.send c
+            (Serve.replay_or t.pipe
+               (Http_parse.find_header headers "x-request-id")
+               compute)
       | _ -> Netsim.send c http_405);
       if keep_alive then `Keep else `Close_graceful
+
+(* The three parser phases over the request bytes at [buf], each one
+   bracketed by [enter]/[leave]: the normalized URI lands in [dst], and
+   the body offset is relative to [buf]. A memory fault inside a phase
+   propagates without [leave] (a signal, not a return); a parse error
+   leaves first and raises [Http_parse.Bad_request]. *)
+let parse t ~enter ~leave ~buf ~len ~dst =
+  let phase f =
+    enter ();
+    match f () with
+    | v ->
+        leave ();
+        v
+    | exception (Http_parse.Bad_request _ as e) ->
+        leave ();
+        raise e
+  in
+  let rl, hdr_off =
+    phase (fun () -> Http_parse.parse_request_line t.space ~addr:buf ~len)
+  in
+  let norm =
+    phase (fun () ->
+        Http_parse.parse_complex_uri t.space ~src:rl.Http_parse.raw_uri_off
+          ~len:rl.Http_parse.raw_uri_len ~dst ~dst_cap:uri_dst_cap
+          ~vulnerable:t.cfg.vulnerable)
+  in
+  let headers, body_rel, body_len =
+    phase (fun () ->
+        let headers, hdr_len =
+          Http_parse.parse_headers t.space ~addr:hdr_off
+            ~len:(len - (hdr_off - buf))
+        in
+        let body_off = hdr_off + hdr_len in
+        ( headers,
+          body_off - buf,
+          Http_parse.validate_body headers ~avail:(buf + len - body_off) ))
+  in
+  ( rl.Http_parse.meth,
+    rl.Http_parse.version,
+    Space.read_string t.space dst norm,
+    headers,
+    (body_rel, body_len) )
 
 (* Baseline parsing: directly in the connection buffer; the normalized
    URI goes to the head of the worker's request pool (so the CVE's
    backward scan falls off the pool's guard page). *)
 let handle_plain t slot c ~cbuf ~len =
-  match
-    let rl, hdr_off = Http_parse.parse_request_line t.space ~addr:cbuf ~len in
-    let dst = slot.pool in
-    let norm =
-      Http_parse.parse_complex_uri t.space ~src:rl.Http_parse.raw_uri_off
-        ~len:rl.Http_parse.raw_uri_len ~dst ~dst_cap:uri_dst_cap
-        ~vulnerable:t.cfg.vulnerable
-    in
-    let headers, hdr_len =
-      Http_parse.parse_headers t.space ~addr:hdr_off ~len:(len - (hdr_off - cbuf))
-    in
-    let body_off = hdr_off + hdr_len in
-    let body =
-      Http_parse.validate_body headers ~avail:(cbuf + len - body_off)
-    in
-    ( rl.Http_parse.meth,
-      rl.Http_parse.version,
-      Space.read_string t.space dst norm,
-      headers,
-      (body_off, body) )
-  with
-  | meth, version, path, headers, (body_off, body_len) ->
-      respond t slot c ~meth ~version ~path ~headers ~body:(body_off, body_len)
+  match parse t ~enter:ignore ~leave:ignore ~buf:cbuf ~len ~dst:slot.pool with
+  | meth, version, path, headers, (body_rel, body_len) ->
+      respond t slot c ~meth ~version ~path ~headers
+        ~body:(cbuf + body_rel, body_len)
   | exception Http_parse.Bad_request _ ->
       Netsim.send c http_400;
       `Keep
@@ -381,13 +307,9 @@ let slot_udi t slot =
    normalized URI is copied back out on success. *)
 let handle_sdrad t slot sd c ~cbuf ~len =
   let udi = slot_udi t slot in
-  let opts = { Types.default_options with heap_size = 64 * 1024 } in
   let on_rewind f =
-    Telemetry.Metrics.inc t.c_rewinds;
     slot.slot_rewinds <- slot.slot_rewinds + 1;
-    let lat = Sched.now () -. f.Types.at in
-    t.rewind_lat <- lat :: t.rewind_lat;
-    Telemetry.Metrics.observe t.h_rewind_cycles lat;
+    Serve.rewound t.pipe f;
     `Close_faulted
   in
   let body () =
@@ -399,77 +321,29 @@ let handle_sdrad t slot sd c ~cbuf ~len =
       let dst = Api.gate_buffer sd ~slot:0 ~udi uri_dst_cap in
       let copy = Api.gate_buffer sd ~slot:1 ~udi (t.cfg.conn_buf_size + 8) in
       Space.blit t.space ~src:cbuf ~dst:copy ~len;
-      (* One domain transition per parser phase. A memory fault inside a
-         phase must propagate to the rewind machinery with the domain
-         still entered (a signal, not a return), so the domain is exited
-         only on a phase's normal completion; parse errors are ordinary
-         return values. *)
-      let phase f =
+      (* One domain transition per parser phase: a memory fault reaches
+         the rewind machinery with the domain still entered. *)
+      let enter () =
         Api.enter sd udi;
-        (match t.faults with
+        match t.faults with
         | Some fi ->
             ignore
               (Fault_inject.fire_in_domain fi ~site:"httpd.parse" ~sd ~buf:copy
                  ~len)
-        | None -> ());
-        let r =
-          match f () with
-          | v -> Ok v
-          | exception Http_parse.Bad_request m -> Error m
-        in
-        Api.exit_domain sd;
-        r
+        | None -> ()
       in
       let parsed =
         match
-          phase (fun () -> Http_parse.parse_request_line t.space ~addr:copy ~len)
+          parse t ~enter ~leave:(fun () -> Api.exit_domain sd) ~buf:copy ~len
+            ~dst
         with
-        | Error _ -> `Bad_request
-        | Ok (rl, hdr_off) -> (
-            match
-              phase (fun () ->
-                  Http_parse.parse_complex_uri t.space
-                    ~src:rl.Http_parse.raw_uri_off
-                    ~len:rl.Http_parse.raw_uri_len ~dst ~dst_cap:uri_dst_cap
-                    ~vulnerable:t.cfg.vulnerable)
-            with
-            | Error _ -> `Bad_request
-            | Ok norm -> (
-                match
-                  phase (fun () ->
-                      let headers, hdr_len =
-                        Http_parse.parse_headers t.space ~addr:hdr_off
-                          ~len:(len - (hdr_off - copy))
-                      in
-                      let body_off = hdr_off + hdr_len in
-                      let body_len =
-                        Http_parse.validate_body headers
-                          ~avail:(copy + len - body_off)
-                      in
-                      (headers, body_off - copy, body_len))
-                with
-                | Error _ -> `Bad_request
-                | Ok (headers, body_rel, body_len) ->
-                    `Parsed
-                      ( rl.Http_parse.meth,
-                        rl.Http_parse.version,
-                        Space.read_string t.space dst norm,
-                        headers,
-                        (body_rel, body_len) )))
+        | p -> `Parsed p
+        | exception Http_parse.Bad_request _ -> `Bad_request
       in
       Api.deinit sd udi;
       parsed
   in
-  let result =
-    match t.sup with
-    | Some sup ->
-        let run =
-          if t.cfg.nonblocking_admit then Supervisor.run_nb else Supervisor.run
-        in
-        run sup ~udi ~opts ~on_rewind ~on_busy:(fun ~until:_ -> `Busy) body
-    | None -> Api.run sd ~udi ~opts ~on_rewind body
-  in
-  match result with
+  match Serve.run t.pipe ~udi ~on_rewind body with
   | `Busy ->
       (* Quarantined parser domain: degrade instead of serving — the
          client gets a retryable 503 and keeps its connection. *)
@@ -487,23 +361,8 @@ let handle_sdrad t slot sd c ~cbuf ~len =
 
 let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
   let sd = sdrad in
-  (match (cfg.variant, sd) with
-  | Sdrad, None -> invalid_arg "Httpd.Server.start: Sdrad variant needs ~sdrad"
-  | _ -> ());
-  if cfg.image_bytes > 0 then begin
-    let img = Space.mmap space ~len:cfg.image_bytes ~prot:Prot.rw ~pkey:0 in
-    Space.fill space ~addr:img ~len:cfg.image_bytes '\x90'
-  end;
-  let buf_alloc, buf_free =
-    match cfg.variant with
-    | Baseline -> glibc_allocator space
-    | Tlsf_alloc | Sdrad ->
-        let alloc, free, heap = tlsf_allocator space in
-        (match faults with
-        | Some fi -> Fault_inject.arm_tlsf fi heap ~site:"httpd.alloc"
-        | None -> ());
-        (alloc, free)
-  in
+  Serve.prepare space cfg.variant sd ~who:"Httpd.Server.start"
+    ~image_bytes:cfg.image_bytes;
   let pool_alloc =
     match (cfg.variant, sd) with
     | Sdrad, Some sd ->
@@ -524,25 +383,35 @@ let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
            sits right below the URI buffer. *)
         fun len -> Space.mmap space ~len ~prot:Prot.rw ~pkey:0
   in
-  let listener = Netsim.listen net ~port:cfg.port in
-  (* Share the monitor's registry when there is one, so `GET /metrics`
-     scrapes core + supervisor + server series together. *)
-  let metrics =
-    match sd with
-    | Some sd -> Api.metrics sd
-    | None -> Telemetry.Metrics.create ()
-  in
+  let metrics = Serve.registry sd in
   let module M = Telemetry.Metrics in
+  let pipe =
+    Serve.create space cfg.variant ~sd ~sup:supervisor ~faults ~metrics
+      ~journal:(Journal.create ~metrics ~name:"httpd" ~capacity:cfg.journal_cap ())
+      ~heap:"httpd-bufs" ~site:"httpd.alloc"
+      ~region:(fun len -> Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
+      ~conn_buf_size:cfg.conn_buf_size ~shed_queue_limit:cfg.shed_queue_limit
+      ~gate_batch_limit:cfg.gate_batch_limit ~race_detector:cfg.race_detector
+      ~shed:
+        (M.counter metrics "httpd_shed_total"
+           ~help:"Requests shed by overload admission control")
+      ~rewinds:
+        (M.counter metrics "httpd_rewinds_total"
+           ~help:"Requests discarded by a domain rewind")
+      ~rewind_cycles:
+        (M.histogram metrics "httpd_rewind_cycles"
+           ~help:"Cycles from fault to request discarded")
+  in
   let t =
     {
       sched;
       space;
       cfg;
       sd;
-      sup = supervisor;
       faults;
+      pipe;
       fs;
-      listener;
+      listener = Netsim.listen net ~port:cfg.port;
       slots =
         Array.init cfg.workers (fun idx ->
             {
@@ -556,22 +425,14 @@ let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
             });
       master_tid = -1;
       all_tids = [];
-      conns = Hashtbl.create 64;
       deaths = Queue.create ();
       death_lock = Sched.Mutex.create ();
       death_cond = Sched.Cond.create ();
       stopping = false;
-      buf_alloc;
-      buf_free;
       pool_alloc;
-      metrics;
-      journal = Journal.create ~metrics ~name:"httpd" ~capacity:cfg.journal_cap ();
       post_count = 0;
       c_served =
         M.counter metrics "httpd_requests_total" ~help:"Requests handled";
-      c_rewinds =
-        M.counter metrics "httpd_rewinds_total"
-          ~help:"Requests discarded by a domain rewind";
       c_restarts =
         M.counter metrics "httpd_worker_restarts_total"
           ~help:"Worker processes respawned by the master";
@@ -584,33 +445,9 @@ let rec start sched space ?sdrad ?supervisor ?faults net ~fs cfg =
       c_busy_503 =
         M.counter metrics "httpd_busy_503_total"
           ~help:"Requests answered 503 while quarantined";
-      c_shed =
-        M.counter metrics "httpd_shed_total"
-          ~help:"Requests shed by overload admission control";
-      h_rewind_cycles =
-        M.histogram metrics "httpd_rewind_cycles"
-          ~help:"Cycles from fault to request discarded";
-      rewind_lat = [];
       restart_lat = [];
-      race = None;
     }
   in
-  (* Static policy check over the compartments set up above; raises
-     [Analysis.Policy.Rejected] on any error-severity finding. *)
-  (match (cfg.verify_policy, sd) with
-  | true, Some sd ->
-      Analysis.Policy.assert_ok (Analysis.Policy.of_api sd)
-  | _ -> ());
-  (* Dynamic race detection over shared (data-domain) memory. Host-side
-     only: attaching never perturbs the simulated run. *)
-  (match (cfg.race_detector, sd) with
-  | true, Some sd -> t.race <- Some (Analysis.Race.attach sd)
-  | _ -> ());
-  (* Rewind audit records sample the journal's cumulative replay hits at
-     incident-commit time. *)
-  (match sd with
-  | Some sd -> Api.add_journal_probe sd (fun () -> Journal.hits t.journal)
-  | None -> ());
   Array.iter (fun slot -> spawn_worker t slot) t.slots;
   t.master_tid <- Sched.spawn sched ~name:"nginx-master" (fun () -> master t);
   let acceptor = Sched.spawn sched ~name:"nginx-accept" (fun () -> acceptor t) in
@@ -651,48 +488,33 @@ and acceptor t =
             (* No worker alive right now: connection refused. *)
             Netsim.close c
         | Some slot ->
-            let cbuf = t.buf_alloc t.cfg.conn_buf_size in
-            Hashtbl.replace t.conns (Netsim.id c) cbuf;
+            Serve.open_conn t.pipe c;
             slot.live_conns <- c :: slot.live_conns;
             Netsim.Waitset.add slot.ws c);
         loop ()
   in
   loop ()
 
-and should_shed t slot ~arrival =
-  (t.cfg.shed_queue_limit > 0
-  && Netsim.Waitset.backlog slot.ws > t.cfg.shed_queue_limit)
-  || (t.cfg.shed_wait_limit > 0.0
-     && Sched.now () -. arrival > t.cfg.shed_wait_limit)
-
 and worker t slot =
-  let batching = t.cfg.gate_batch_limit > 0 && t.cfg.variant = Sdrad in
+  let ws = slot.ws in
   let drop c =
-    Netsim.Waitset.remove slot.ws c;
-    Netsim.close c;
+    Serve.drop t.pipe ws c;
     slot.live_conns <- List.filter (fun x -> not (x == c)) slot.live_conns
   in
-  let serve c msg arrival =
-    if should_shed t slot ~arrival then begin
-      (* Overload: answer the retryable 503 before any parsing or
-         domain switch is spent on this request. *)
-      Sched.charge (Space.cost t.space).Cost.syscall;
-      Telemetry.Metrics.inc t.c_shed;
-      (match t.sd with
-      | Some sd ->
-          Api.with_trace sd (trace_of_msg msg) (fun () ->
-              Api.flight_event sd ~udi:(slot_udi t slot)
-                Checkpoint.Flight.Shed)
-      | None -> ());
-      Netsim.send c http_503
-    end
+  let serve c msg =
+    (* The backlog is read before the read(2) cost is charged. *)
+    let overloaded = Serve.should_shed t.pipe ws in
+    Sched.charge (Space.cost t.space).Cost.syscall;
+    if overloaded then
+      (* Answer the retryable 503 before any parsing or domain switch is
+         spent on this request. *)
+      Serve.shed t.pipe c ~trace:(trace_of_msg msg)
+        ~udi:(fun () -> slot_udi t slot)
+        ~busy:http_503
     else begin
-      Sched.charge (Space.cost t.space).Cost.syscall;
       Sched.charge t.cfg.proc_cycles;
       Telemetry.Metrics.inc t.c_served;
-      let cbuf = Hashtbl.find t.conns (Netsim.id c) in
-      let len = min (String.length msg) (t.cfg.conn_buf_size - 2) in
-      Space.store_string t.space cbuf (String.sub msg 0 len);
+      let cbuf, len = Serve.stage t.pipe c msg in
       (* Install the request's trace context for its whole
          handling: parse-phase switches, faults, replays and audit
          records all inherit it. *)
@@ -725,56 +547,33 @@ and worker t slot =
       | None -> ()
     end
   in
-  (* Coalesce whatever is already deliverable into the same open gate
-     (a zero-deadline wait is a poll), up to the batch limit. *)
-  let rec drain n =
-    if n < t.cfg.gate_batch_limit then
-      match Netsim.Waitset.wait_deadline slot.ws ~deadline:(Sched.now ()) with
-      | None -> ()
-      | Some c -> (
-          match Netsim.recv_with_arrival c with
-          | None ->
-              drop c;
-              drain n
-          | Some (msg, arrival) ->
-              serve c msg arrival;
-              drain (n + 1))
+  (* §VI mitigation: after too many rewinds, re-exec voluntarily to
+     re-randomize the address space. *)
+  let after () =
+    match t.cfg.rewind_limit with
+    | Some limit when slot.slot_rewinds >= limit ->
+        Log.info (fun m ->
+            m "worker %d reached its rewind limit (%d); re-exec" slot.idx limit);
+        Telemetry.Metrics.inc t.c_proactive;
+        raise Exit
+    | Some _ | None -> ()
   in
-  let rec loop () =
-    match Netsim.Waitset.wait slot.ws with
-    | None -> ()
-    | Some c ->
-        (match Netsim.recv_with_arrival c with
-        | None -> drop c
-        | Some (msg, arrival) ->
-            if batching then
-              Api.with_gate (Option.get t.sd) (fun () ->
-                  serve c msg arrival;
-                  drain 1)
-            else serve c msg arrival);
-        (* §VI mitigation: after too many rewinds, re-exec voluntarily to
-           re-randomize the address space. *)
-        match t.cfg.rewind_limit with
-        | Some limit when slot.slot_rewinds >= limit ->
-            Log.info (fun m ->
-                m "worker %d reached its rewind limit (%d); re-exec" slot.idx limit);
-            Telemetry.Metrics.inc t.c_proactive;
-            raise Exit
-        | Some _ | None -> loop ()
-  in
-  try loop ()
+  try Serve.worker t.pipe ws ~serve ~drop ~after
   with _e ->
     (* The worker process dies: its connections are torn down by the
        kernel and the master is notified via SIGCHLD. *)
     slot.alive <- false;
-    let at = Sched.now () in
-    Telemetry.Metrics.add t.c_dropped (List.length slot.live_conns);
-    List.iter Netsim.close slot.live_conns;
+    let at = Sched.now () and lost = slot.live_conns in
+    Telemetry.Metrics.add t.c_dropped (List.length lost);
+    List.iter Netsim.close lost;
     slot.live_conns <- [];
-    Netsim.Waitset.close slot.ws;
+    Netsim.Waitset.close ws;
     Sched.Mutex.with_lock t.death_lock (fun () ->
         Queue.add (slot.idx, at) t.deaths;
-        Sched.Cond.signal t.death_cond)
+        Sched.Cond.signal t.death_cond);
+    (* Reclaim the lost connections' buffers once the master has been
+       notified, so the reclaim does not delay the respawn. *)
+    List.iter (Serve.release t.pipe) lost
 
 and master t =
   let rec loop () =
@@ -813,20 +612,20 @@ let stop t =
 
 let join t = List.iter Sched.join t.all_tids
 let requests_served t = Telemetry.Metrics.counter_value t.c_served
-let rewinds t = Telemetry.Metrics.counter_value t.c_rewinds
-let rewind_latencies t = t.rewind_lat
+let rewinds t = Telemetry.Metrics.counter_value t.pipe.c_rewinds
+let rewind_latencies t = t.pipe.rewind_lat
 let worker_restarts t = Telemetry.Metrics.counter_value t.c_restarts
 let proactive_restarts t = Telemetry.Metrics.counter_value t.c_proactive
 let restart_latencies t = t.restart_lat
 let dropped_connections t = Telemetry.Metrics.counter_value t.c_dropped
 let busy_rejections t = Telemetry.Metrics.counter_value t.c_busy_503
-let shed_count t = Telemetry.Metrics.counter_value t.c_shed
-let replay_hits t = Journal.hits t.journal
-let journal t = t.journal
+let shed_count t = Telemetry.Metrics.counter_value t.pipe.c_shed
+let replay_hits t = Journal.hits t.pipe.journal
+let journal t = t.pipe.journal
 let post_count t = t.post_count
-let supervisor t = t.sup
-let metrics t = t.metrics
-let race_detector t = t.race
+let supervisor t = t.pipe.sup
+let metrics t = t.pipe.metrics
+let race_detector t = t.pipe.race
 
 let alive t =
   Array.exists

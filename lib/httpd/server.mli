@@ -17,9 +17,16 @@
     [vulnerable = true]. With [verify_certs = true], requests carrying an
     [X-Client-Cert] header run the toy X.509 verifier of
     {!Crypto.X509} — whose punycode overflow (CVE-2022-3786) is caught by
-    the stack canary — inside its own domain under SDRaD (§V-C). *)
+    the stack canary — inside its own domain under SDRaD (§V-C).
 
-type variant = Baseline | Tlsf_alloc | Sdrad
+    The plumbing of the request chain — buffer allocators, connection
+    table, shedding, worker loop, supervised dispatch, replay journal
+    and rewind bookkeeping — is {!Serve}'s, shared with
+    {!Kvcache.Server}; this module holds HTTP parsing and replies and
+    the master/worker process model. Every connection's buffer is freed
+    when the connection drops, including those of a worker that dies. *)
+
+type variant = Serve.variant = Baseline | Tlsf_alloc | Sdrad
 
 type config = {
   variant : variant;
@@ -54,17 +61,6 @@ type config = {
   shed_queue_limit : int;
       (** shed (answer 503) when a worker's waitset backlog exceeds this
           many queued messages; 0 disables queue-depth shedding *)
-  shed_wait_limit : float;
-      (** shed when a request waited longer than this many cycles in the
-          worker's queue; 0 disables deadline-based shedding *)
-  nonblocking_admit : bool;
-      (** use {!Resilience.Supervisor.admit_nb}: a supervisor backoff
-          delay becomes a 503 instead of parking the worker *)
-  verify_policy : bool;
-      (** {!Sdrad} variant only: after the pool data domain is set up,
-          run the {!Analysis.Policy} verifier over a snapshot of the
-          monitor and raise {!Analysis.Policy.Rejected} on any
-          error-severity finding. Off by default. *)
   race_detector : bool;
       (** {!Sdrad} variant only: attach an {!Analysis.Race} detector at
           start. Detection is host-side — it never perturbs the

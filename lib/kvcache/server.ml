@@ -4,7 +4,6 @@ module Space = Vmem.Space
 module Prot = Vmem.Prot
 module Api = Sdrad.Api
 module Types = Sdrad.Types
-module Supervisor = Resilience.Supervisor
 module Fault_inject = Resilience.Fault_inject
 module Journal = Resilience.Journal
 
@@ -12,7 +11,7 @@ let log_src = Logs.Src.create "sdrad.kvcache" ~doc:"key-value cache server"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type variant = Baseline | Tlsf_alloc | Sdrad
+type variant = Serve.variant = Baseline | Tlsf_alloc | Sdrad
 
 type config = {
   variant : variant;
@@ -31,9 +30,6 @@ type config = {
   client_udi_base : int;
   journal_cap : int;  (* replay-journal capacity (idempotency keys) *)
   shed_queue_limit : int;  (* shed when waitset backlog exceeds this; 0 = off *)
-  shed_wait_limit : float;  (* shed when queueing delay exceeds this; 0 = off *)
-  nonblocking_admit : bool;  (* turn supervisor backoff waits into busy *)
-  verify_policy : bool;  (* run the static policy verifier after setup *)
   race_detector : bool;  (* attach the dynamic race detector at start *)
   gate_batch_limit : int;  (* requests coalesced per batched gate; 0 = off *)
 }
@@ -56,22 +52,17 @@ let default_config =
     client_udi_base = 100;
     journal_cap = 512;
     shed_queue_limit = 0;
-    shed_wait_limit = 0.0;
-    nonblocking_admit = false;
-    verify_policy = false;
     race_detector = false;
     gate_batch_limit = 0;
   }
-
-type conn_state = { cbuf : int; mutable outstanding : bool }
 
 type t = {
   sched : Sched.t;
   space : Space.t;
   cfg : config;
   sd : Api.t option;
-  sup : Supervisor.t option;
   faults : Fault_inject.t option;
+  pipe : Serve.t;
   client_udis : (int, int) Hashtbl.t;  (* source address -> stable udi *)
   mutable next_client_udi : int;
   slab : Slab.t;
@@ -79,88 +70,14 @@ type t = {
   listener : Netsim.listener;
   waitsets : Netsim.Waitset.ws array;
   mutable tids : Sched.tid list;
-  conns : (int, conn_state) Hashtbl.t;
   mutable all_conns : Netsim.conn list;
   glock : Sched.Mutex.mutex;
   lock_word : int;
-  (* allocator used for connection-lifetime and per-request buffers *)
-  buf_alloc : int -> int;
-  buf_free : int -> unit;
-  metrics : Telemetry.Metrics.t;
-  journal : Journal.t;  (* root-domain state: survives nested discards *)
   c_served : Telemetry.Metrics.counter;
-  c_rewinds : Telemetry.Metrics.counter;
   c_dropped : Telemetry.Metrics.counter;
   c_busy : Telemetry.Metrics.counter;
-  c_shed : Telemetry.Metrics.counter;
-  h_rewind_cycles : Telemetry.Metrics.histogram;
-  mutable rewind_lat : float list;
   mutable crashed : bool;
-  mutable race : Analysis.Race.t option;
 }
-
-(* glibc cost model for the Baseline variant: allocations come from a
-   bump arena; the (amortized) malloc/free work is charged as constants. *)
-let glibc_allocator space =
-  (* Bump arena with per-size free lists: freed chunks are recycled, as
-     glibc's bins would, so the model neither leaks RSS nor charges real
-     allocator work (that is what the constants are for). *)
-  let arena = ref 0 and off = ref 0 and arena_len = 256 * 1024 in
-  let bins : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let bin n =
-    match Hashtbl.find_opt bins n with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace bins n l;
-        l
-  in
-  let sizes : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let alloc n =
-    Sched.charge 80.0;
-    let n = (n + 15) land lnot 15 in
-    let p =
-      match !(bin n) with
-      | p :: rest ->
-          (bin n) := rest;
-          p
-      | [] ->
-          if !arena = 0 || !off + n > arena_len then begin
-            arena := Space.mmap space ~len:(max arena_len n) ~prot:Prot.rw ~pkey:0;
-            off := 0
-          end;
-          let p = !arena + !off in
-          off := !off + n;
-          p
-    in
-    Hashtbl.replace sizes p n;
-    p
-  in
-  let free p =
-    Sched.charge 50.0;
-    match Hashtbl.find_opt sizes p with
-    | Some n ->
-        Hashtbl.remove sizes p;
-        (bin n) := p :: !(bin n)
-    | None -> ()
-  in
-  (alloc, free)
-
-let tlsf_allocator space ~malloc_region =
-  let heap = Tlsf.create space ~name:"kvcache-bufs" in
-  let grow len =
-    let len = max len (1024 * 1024) in
-    let region = malloc_region len in
-    Tlsf.add_region heap ~addr:region ~len
-  in
-  let alloc n =
-    match Tlsf.malloc_opt heap n with
-    | Some p -> p
-    | None ->
-        grow (n + 64);
-        Tlsf.malloc heap n
-  in
-  (alloc, (fun p -> Tlsf.free heap p), heap)
 
 (* The unchecked copy of CVE-2011-4971: the length field from the request
    header is used directly as the memcpy length; a negative 32-bit value
@@ -259,14 +176,23 @@ let apply_arith t ~key ~delta ~negate =
       | Some v ->
           let v' = if negate then max 0 (v - delta) else v + delta in
           let s = string_of_int v' in
-          let buf = t.buf_alloc (String.length s) in
+          let buf = t.pipe.buf_alloc (String.length s) in
           Space.store_string t.space buf s;
           (match Store.prepare t.db ~key ~flags ~value_src:buf
                    ~value_len:(String.length s) with
           | Some item -> Store.commit t.db ~key item
           | None -> ());
-          t.buf_free buf;
+          t.pipe.buf_free buf;
           Some (Result.Ok v'))
+
+(* Stage a value through a per-request buffer (exercises the allocator
+   variant) on its way into a reply. *)
+let read_staged t vaddr vlen =
+  let out = t.pipe.buf_alloc (vlen + 64) in
+  Space.blit t.space ~src:vaddr ~dst:out ~len:vlen;
+  let value = Space.read_string t.space out vlen in
+  t.pipe.buf_free out;
+  value
 
 let stats_reply t =
   Proto.fmt_stats_reply
@@ -276,7 +202,8 @@ let stats_reply t =
       ("evictions", string_of_int (Store.evictions t.db));
       ("total_requests",
        string_of_int (Telemetry.Metrics.counter_value t.c_served));
-      ("rewinds", string_of_int (Telemetry.Metrics.counter_value t.c_rewinds));
+      ("rewinds",
+       string_of_int (Telemetry.Metrics.counter_value t.pipe.c_rewinds));
       ("dropped_connections",
        string_of_int (Telemetry.Metrics.counter_value t.c_dropped));
       ("busy_rejections",
@@ -293,7 +220,7 @@ let stats_reply t =
 (* [stats telemetry]: the registry's Prometheus exposition as the reply
    body. Under SDRaD the registry is the monitor's, so core, supervisor
    and server series all appear in one scrape. *)
-let telemetry_reply t = Telemetry.Metrics.expose t.metrics
+let telemetry_reply t = Telemetry.Metrics.expose t.pipe.metrics
 
 let parse_any space ~addr ~len =
   if Binproto.is_binary space ~addr ~len then
@@ -302,14 +229,8 @@ let parse_any space ~addr ~len =
 
 let rec start sched space ?sdrad ?supervisor ?faults net cfg =
   let sd = sdrad in
-  (match (cfg.variant, sd) with
-  | Sdrad, None -> invalid_arg "Server.start: Sdrad variant needs ~sdrad"
-  | _ -> ());
-  if cfg.image_bytes > 0 then begin
-    (* The process image: text, shared libraries, static data. *)
-    let img = Space.mmap space ~len:cfg.image_bytes ~prot:Prot.rw ~pkey:0 in
-    Space.fill space ~addr:img ~len:cfg.image_bytes '\x90'
-  end;
+  Serve.prepare space cfg.variant sd ~who:"Server.start"
+    ~image_bytes:cfg.image_bytes;
   (* Database memory: a plain mapping for Baseline/Tlsf, a data domain
      under SDRaD (readable by nested domains, writable from root). *)
   let db_page_alloc =
@@ -330,82 +251,58 @@ let rec start sched space ?sdrad ?supervisor ?faults net cfg =
         Api.malloc sd ~udi:cfg.lock_udi 8
     | _ -> Space.mmap space ~len:4096 ~prot:Prot.rw ~pkey:0
   in
-  let buf_alloc, buf_free, buf_heap =
-    match cfg.variant with
-    | Baseline ->
-        let alloc, free = glibc_allocator space in
-        (alloc, free, None)
-    | Tlsf_alloc ->
-        let alloc, free, heap =
-          tlsf_allocator space ~malloc_region:(fun len ->
-              Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
-        in
-        (alloc, free, Some heap)
-    | Sdrad ->
-        let sd = Option.get sd in
-        let alloc, free, heap =
-          tlsf_allocator space ~malloc_region:(fun len ->
-              (* Root-domain memory: grow via the SDRaD root heap so pages
-                 carry the root protection key. *)
-              Api.malloc sd ~udi:Types.root_udi len)
-        in
-        (alloc, free, Some heap)
-  in
-  (match (faults, buf_heap) with
-  | Some fi, Some heap -> Fault_inject.arm_tlsf fi heap ~site:"kv.alloc"
-  | _ -> ());
-  let listener = Netsim.listen net ~port:cfg.port in
-  (* Share the monitor's registry when there is one, so `stats telemetry`
-     scrapes core + supervisor + server series together. *)
-  let metrics =
-    match sd with
-    | Some sd -> Api.metrics sd
-    | None -> Telemetry.Metrics.create ()
-  in
+  let metrics = Serve.registry sd in
   let module M = Telemetry.Metrics in
+  let pipe =
+    Serve.create space cfg.variant ~sd ~sup:supervisor ~faults ~metrics
+      ~journal:(Journal.create ~metrics ~name:"kvcache" ~capacity:cfg.journal_cap ())
+      ~heap:"kvcache-bufs" ~site:"kv.alloc"
+      ~region:
+        (match (cfg.variant, sd) with
+        | Sdrad, Some sd ->
+            (* Root-domain memory: grow via the SDRaD root heap so pages
+               carry the root protection key. *)
+            fun len -> Api.malloc sd ~udi:Types.root_udi len
+        | _ -> fun len -> Space.mmap space ~len ~prot:Prot.rw ~pkey:0)
+      ~conn_buf_size:cfg.conn_buf_size ~shed_queue_limit:cfg.shed_queue_limit
+      ~gate_batch_limit:cfg.gate_batch_limit ~race_detector:cfg.race_detector
+      ~shed:
+        (M.counter metrics "kvcache_shed_total"
+           ~help:"Requests shed by overload admission control")
+      ~rewinds:
+        (M.counter metrics "kvcache_rewinds_total"
+           ~help:"Events discarded by a domain rewind")
+      ~rewind_cycles:
+        (M.histogram metrics "kvcache_rewind_cycles"
+           ~help:"Cycles from fault to connection closed")
+  in
   let t =
     {
       sched;
       space;
       cfg;
       sd;
-      sup = supervisor;
       faults;
+      pipe;
       client_udis = Hashtbl.create 16;
       next_client_udi = cfg.client_udi_base;
       slab;
       db;
-      listener;
+      listener = Netsim.listen net ~port:cfg.port;
       waitsets = Array.init cfg.workers (fun _ -> Netsim.Waitset.create ());
       tids = [];
-      conns = Hashtbl.create 64;
       all_conns = [];
       glock = Sched.Mutex.create ();
       lock_word;
-      buf_alloc;
-      buf_free;
-      metrics;
-      journal = Journal.create ~metrics ~name:"kvcache" ~capacity:cfg.journal_cap ();
       c_served =
         M.counter metrics "kvcache_requests_total" ~help:"Requests handled";
-      c_rewinds =
-        M.counter metrics "kvcache_rewinds_total"
-          ~help:"Events discarded by a domain rewind";
       c_dropped =
         M.counter metrics "kvcache_dropped_connections_total"
           ~help:"Connections closed after a rewind";
       c_busy =
         M.counter metrics "kvcache_busy_rejections_total"
           ~help:"Requests answered busy while quarantined";
-      c_shed =
-        M.counter metrics "kvcache_shed_total"
-          ~help:"Requests shed by overload admission control";
-      h_rewind_cycles =
-        M.histogram metrics "kvcache_rewind_cycles"
-          ~help:"Cycles from fault to connection closed";
-      rewind_lat = [];
       crashed = false;
-      race = None;
     }
   in
   M.gauge_fn metrics "kvcache_items" ~help:"Items currently stored" (fun () ->
@@ -414,24 +311,6 @@ let rec start sched space ?sdrad ?supervisor ?faults net cfg =
     (fun () -> float_of_int (Store.value_bytes t.db));
   M.counter_fn metrics "kvcache_evictions_total" ~help:"LRU evictions"
     (fun () -> Store.evictions t.db);
-  (* Static policy check over the compartments set up above: key
-     disjointness, cross-domain visibility, gate buffers, abort hooks,
-     reachability. Raises [Analysis.Policy.Rejected] on any error. *)
-  (match (cfg.verify_policy, sd) with
-  | true, Some sd ->
-      Analysis.Policy.assert_ok (Analysis.Policy.of_api sd)
-  | _ -> ());
-  (* Dynamic race detection over shared (data-domain) memory. Host-side
-     only: attaching never perturbs the simulated run. *)
-  (match (cfg.race_detector, sd) with
-  | true, Some sd -> t.race <- Some (Analysis.Race.attach sd)
-  | _ -> ());
-  (* Rewind audit records carry the journal's cumulative replay hits, so
-     an operator can line an incident up against PR 4's "no acked write
-     lost" guarantee. *)
-  (match sd with
-  | Some sd -> Api.add_journal_probe sd (fun () -> Journal.hits t.journal)
-  | None -> ());
   let dispatcher_tid = Sched.spawn sched ~name:"mc-dispatch" (fun () -> dispatcher t) in
   let worker_tids =
     List.init cfg.workers (fun i ->
@@ -456,8 +335,7 @@ and dispatcher t =
     | Some c ->
         if t.crashed then Netsim.close c
         else begin
-          let cbuf = t.buf_alloc t.cfg.conn_buf_size in
-          Hashtbl.replace t.conns (Netsim.id c) { cbuf; outstanding = false };
+          Serve.open_conn t.pipe c;
           t.all_conns <- c :: t.all_conns;
           Netsim.Waitset.add t.waitsets.(!next mod t.cfg.workers) c;
           incr next;
@@ -468,83 +346,29 @@ and dispatcher t =
 
 and worker t i =
   let ws = t.waitsets.(i) in
-  let batching = t.cfg.gate_batch_limit > 0 && t.cfg.variant = Sdrad in
-  let serve c msg arrival =
+  let serve c msg =
     Sched.charge (Space.cost t.space).Cost.syscall;
     (* epoll_wait + read(2) *)
-    if should_shed t ws ~arrival then shed t c msg
+    if Serve.should_shed t.pipe ws then shed t c msg
     else handle_event t ws c msg
   in
-  (* Pull whatever else is already deliverable into the same open gate
-     (a zero-deadline wait is a poll), up to the batch limit — the
-     gate's privilege raise/drop then amortizes over the batch. *)
-  let rec drain n =
-    if n < t.cfg.gate_batch_limit then
-      match Netsim.Waitset.wait_deadline ws ~deadline:(Sched.now ()) with
-      | None -> ()
-      | Some c -> (
-          match Netsim.recv_with_arrival c with
-          | None ->
-              drop_conn t ws c;
-              drain n
-          | Some (msg, arrival) ->
-              serve c msg arrival;
-              drain (n + 1))
-  in
-  let rec loop () =
-    match Netsim.Waitset.wait ws with
-    | None -> ()
-    | Some c ->
-        (match Netsim.recv_with_arrival c with
-        | None -> drop_conn t ws c
-        | Some (msg, arrival) ->
-            if batching then
-              Api.with_gate (Option.get t.sd) (fun () ->
-                  serve c msg arrival;
-                  drain 1)
-            else serve c msg arrival);
-        loop ()
-  in
-  try loop () with e -> crash_cleanup t; raise e
+  try Serve.worker t.pipe ws ~serve ~drop:(Serve.drop t.pipe ws) ~after:ignore
+  with e -> crash_cleanup t; raise e
 
-(* Overload admission control: a request is shed — answered with the
-   existing busy path — when the worker's queue depth or the request's
-   time-in-queue says the server is behind, *before* any parsing or
-   domain switch is spent on it. Composes with the supervisor: shedding
-   protects against load, quarantine against repeat faulters. *)
-and should_shed t ws ~arrival =
-  (t.cfg.shed_queue_limit > 0
-  && Netsim.Waitset.backlog ws > t.cfg.shed_queue_limit)
-  || (t.cfg.shed_wait_limit > 0.0
-     && Sched.now () -. arrival > t.cfg.shed_wait_limit)
-
+(* Overload admission control sheds a request — answered with the
+   existing busy path — before any parsing or domain switch is spent on
+   it. Composes with the supervisor: shedding protects against load,
+   quarantine against repeat faulters. *)
 and shed t c msg =
-  Telemetry.Metrics.inc t.c_shed;
   let binary =
     String.length msg > 0 && Char.code msg.[0] = Binproto.magic_request
   in
-  (* Shedding happens before the request touches simulated memory, but
-     the dropped op still deserves a flight-recorder event carrying its
-     trace id — that is how the client's timeout shows up in forensics. *)
-  (match t.sd with
-  | Some sd ->
-      let trace =
-        if binary then Binproto.trace_of_string msg
-        else Proto.trace_of_string msg
-      in
-      Api.with_trace sd trace (fun () ->
-          Api.flight_event sd ~udi:(udi_for_conn t c) Checkpoint.Flight.Shed)
-  | None -> ());
-  Netsim.send c (if binary then binary_wire.w_busy else text_wire.w_busy)
-
-and drop_conn t ws c =
-  Netsim.Waitset.remove ws c;
-  Netsim.close c;
-  (match Hashtbl.find_opt t.conns (Netsim.id c) with
-  | Some st ->
-      t.buf_free st.cbuf;
-      Hashtbl.remove t.conns (Netsim.id c)
-  | None -> ())
+  Serve.shed t.pipe c
+    ~trace:
+      (if binary then Binproto.trace_of_string msg
+       else Proto.trace_of_string msg)
+    ~udi:(fun () -> udi_for_conn t c)
+    ~busy:(if binary then binary_wire.w_busy else text_wire.w_busy)
 
 and handle_event t ws c msg =
   Sched.charge t.cfg.proc_cycles;
@@ -554,22 +378,14 @@ and handle_event t ws c msg =
 
 and handle_plain t ws c msg =
   let space = t.space in
-  let st = Hashtbl.find t.conns (Netsim.id c) in
-  let len = min (String.length msg) (t.cfg.conn_buf_size - 2) in
-  Space.store_string space st.cbuf (String.sub msg 0 len);
+  let cbuf, len = Serve.stage t.pipe c msg in
   Telemetry.Metrics.inc t.c_served;
-  let w, cmd = parse_any space ~addr:st.cbuf ~len in
+  let w, cmd = parse_any space ~addr:cbuf ~len in
   match cmd with
   | Get key -> (
       match Store.get t.db key with
       | Some (vaddr, vlen, flags) ->
-          (* Stage the response through a per-request buffer (exercises
-             the allocator variant), then send. *)
-          let out = t.buf_alloc (vlen + 64) in
-          Space.blit space ~src:vaddr ~dst:out ~len:vlen;
-          let value = Space.read_string space out vlen in
-          t.buf_free out;
-          Netsim.send c (w.w_value ~key ~flags ~value)
+          Netsim.send c (w.w_value ~key ~flags ~value:(read_staged t vaddr vlen))
       | None -> Netsim.send c w.w_miss)
   | Set { mode; key; flags; declared_len; data_off; data_len; rid } ->
       if t.cfg.vulnerable && declared_len < 0 then begin
@@ -587,7 +403,7 @@ and handle_plain t ws c msg =
       end
       else
         let reply =
-          replay_or t rid (fun () ->
+          Serve.replay_or t.pipe rid (fun () ->
               if declared_len <> data_len then w.w_error
               else if storage_mode_blocked t mode key then Proto.not_stored
               else
@@ -602,99 +418,52 @@ and handle_plain t ws c msg =
                     w.w_stored)
         in
         Netsim.send c reply
-  | Delete { key; rid } ->
-      let reply =
-        replay_or t rid (fun () ->
-            global_lock t (fun () ->
-                if Store.delete t.db key then w.w_deleted else w.w_not_found))
-      in
-      Netsim.send c reply
+  | Delete { key; rid } -> Netsim.send c (mutate t w rid (`Delete key))
   | Multi_get keys ->
       let hits =
         List.filter_map
           (fun key ->
             match Store.get t.db key with
             | Some (vaddr, vlen, flags) ->
-                let out = t.buf_alloc (vlen + 64) in
-                Space.blit space ~src:vaddr ~dst:out ~len:vlen;
-                let value = Space.read_string space out vlen in
-                t.buf_free out;
-                Some (key, flags, value)
+                Some (key, flags, read_staged t vaddr vlen)
             | None -> None)
           keys
       in
       Netsim.send c (w.w_values hits)
   | Arith { key; delta; negate; rid } ->
-      let reply =
-        replay_or t rid (fun () ->
-            global_lock t (fun () ->
-                match apply_arith t ~key ~delta ~negate with
-                | None -> w.w_not_found
-                | Some (Error msg) -> msg
-                | Some (Ok v) -> Printf.sprintf "%d\r\n" v))
-      in
-      Netsim.send c reply
+      Netsim.send c (mutate t w rid (`Arith (key, delta, negate)))
   | Stats -> Netsim.send c (stats_reply t)
   | Stats_telemetry -> Netsim.send c (telemetry_reply t)
-  | Quit -> drop_conn t ws c
+  | Quit -> Serve.drop t.pipe ws c
   | Bad _ -> Netsim.send c w.w_error
 
-(* At-most-once bracket around a mutation: a request id that is already
-   journaled is answered with the journaled response instead of being
-   re-applied; a fresh execution's response is journaled right after the
-   commit, before it can be lost on the wire. Both halves run in the
-   parent (root domain), so this is exactly the window a nested-domain
-   rewind cannot touch: no entry = the commit never happened and the
-   retry re-executes; entry = the commit happened and the retry replays. *)
-and replay_or t rid compute =
-  match rid with
-  | None -> compute ()
-  | Some r -> (
-      match Journal.find t.journal r with
-      | Some reply ->
-          (* A journal hit is a causal consequence of the original op's
-             earlier attempt: record it under the retry's trace id. *)
-          (match t.sd with
-          | Some sd -> Api.flight_event sd Checkpoint.Flight.Replay
-          | None -> ());
-          reply
-      | None ->
-          let reply = compute () in
-          Journal.record t.journal r reply;
-          reply)
-
-(* Deferred update computed inside the nested domain, applied in the
-   parent after a normal exit (Figure 3 steps 8-9). *)
-and apply_deferred t w rid d =
-  let compute d =
-    match d with
-    | `Set (mode, key, flags, src, len) ->
-        (* The presence check belongs inside the lock: the deferred commit
-           must be atomic with it. *)
-        global_lock t (fun () ->
-            if storage_mode_blocked t mode key then Proto.not_stored
-            else
-              match
-                Store.prepare t.db ~key ~flags ~value_src:src ~value_len:len
-              with
-              | None -> w.w_oom
-              | Some item ->
-                  Store.commit t.db ~key item;
-                  w.w_stored)
-    | `Delete key ->
-        global_lock t (fun () ->
-            if Store.delete t.db key then w.w_deleted else w.w_not_found)
-    | `Arith (key, delta, negate) ->
-        global_lock t (fun () ->
-            match apply_arith t ~key ~delta ~negate with
-            | None -> w.w_not_found
-            | Some (Error msg) -> msg
-            | Some (Ok v) -> Printf.sprintf "%d\r\n" v)
-  in
-  match d with
-  | `None -> None
-  | (`Set _ | `Delete _ | `Arith _) as d ->
-      Some (replay_or t rid (fun () -> compute d))
+(* A mutation applied in the parent under the global lock, inside the
+   journal's at-most-once bracket: directly by the plain variants, and
+   under SDRaD as the update deferred from the nested domain and applied
+   after its normal exit (Figure 3 steps 8-9). *)
+and mutate t w rid d =
+  Serve.replay_or t.pipe rid (fun () ->
+      global_lock t (fun () ->
+          match d with
+          | `Set (mode, key, flags, src, len) -> (
+              (* The presence check belongs inside the lock: the deferred
+                 commit must be atomic with it. *)
+              if storage_mode_blocked t mode key then Proto.not_stored
+              else
+                match
+                  Store.prepare t.db ~key ~flags ~value_src:src ~value_len:len
+                with
+                | None -> w.w_oom
+                | Some item ->
+                    Store.commit t.db ~key item;
+                    w.w_stored)
+          | `Delete key ->
+              if Store.delete t.db key then w.w_deleted else w.w_not_found
+          | `Arith (key, delta, negate) -> (
+              match apply_arith t ~key ~delta ~negate with
+              | None -> w.w_not_found
+              | Some (Error msg) -> msg
+              | Some (Ok v) -> Printf.sprintf "%d\r\n" v)))
 
 (* With per-client domains, the udi is keyed by the connection's source
    address, so a client that reconnects (e.g. after its connection was
@@ -720,32 +489,27 @@ and handle_sdrad t ws c msg =
   let sd = Option.get t.sd in
   let space = t.space in
   let udi = udi_for_conn t c in
-  let st = Hashtbl.find t.conns (Netsim.id c) in
-  let len = min (String.length msg) (t.cfg.conn_buf_size - 2) in
-  Space.store_string space st.cbuf (String.sub msg 0 len);
+  let cbuf, len = Serve.stage t.pipe c msg in
   Telemetry.Metrics.inc t.c_served;
-  let binary = Binproto.is_binary space ~addr:st.cbuf ~len in
+  let binary = Binproto.is_binary space ~addr:cbuf ~len in
   let w = if binary then binary_wire else text_wire in
   (* Install the request's causal trace context before anything else: the
      admit decision, every domain switch, fault, replay and audit record
      triggered by this request carries its id. *)
   let trace =
-    if binary then Binproto.parse_trace space ~addr:st.cbuf ~len
-    else Proto.parse_trace space ~addr:st.cbuf ~len
+    if binary then Binproto.parse_trace space ~addr:cbuf ~len
+    else Proto.parse_trace space ~addr:cbuf ~len
   in
   Api.set_trace sd trace;
   Api.flight_event sd ~udi Checkpoint.Flight.Admit;
-  let opts = { Types.default_options with heap_size = 64 * 1024 } in
   let on_rewind f =
-    (* Abnormal exit: discard the event, close only this client. *)
+    (* Abnormal exit: discard the event, close only this client; the
+       latency runs from the fault to the connection being closed. *)
     Log.info (fun m ->
         m "rewound event on conn %d: %a" (Netsim.id c) Types.pp_fault f);
-    Telemetry.Metrics.inc t.c_rewinds;
-    drop_conn t ws c;
+    Serve.drop t.pipe ws c;
     Telemetry.Metrics.inc t.c_dropped;
-    let lat = Sched.now () -. f.Types.at in
-    t.rewind_lat <- lat :: t.rewind_lat;
-    Telemetry.Metrics.observe t.h_rewind_cycles lat;
+    Serve.rewound t.pipe f;
     `Rewound
   in
   let body () =
@@ -754,7 +518,7 @@ and handle_sdrad t ws c msg =
        persistent sub-heap keeps it across events, so steady state does
        no malloc/free per request. *)
     let dbuf = Api.gate_buffer sd ~udi (t.cfg.conn_buf_size + 8) in
-    Space.blit space ~src:st.cbuf ~dst:dbuf ~len;
+    Space.blit space ~src:cbuf ~dst:dbuf ~len;
     Api.enter sd udi;
     (match t.faults with
     | Some fi ->
@@ -789,7 +553,11 @@ and handle_sdrad t ws c msg =
       | `Telemetry_cmd -> Some (telemetry_reply t)
       | `Quit_cmd -> None
       | `Deferred (rid, d, staged) ->
-          let r = apply_deferred t w rid d in
+          let r =
+            match d with
+            | `None -> None
+            | (`Set _ | `Delete _ | `Arith _) as d -> Some (mutate t w rid d)
+          in
           Option.iter (fun p -> Api.free sd ~udi p) staged;
           r
     in
@@ -798,26 +566,13 @@ and handle_sdrad t ws c msg =
     Api.deinit sd udi;
     `Reply reply
   in
-  let result =
-    match t.sup with
-    | Some sup ->
-        (* Supervised: a quarantined client udi is turned away before any
-           domain state is touched. With [nonblocking_admit] a backoff
-           wait is also turned into a busy reply instead of parking the
-           worker — overloaded servers shed rather than sleep. *)
-        let run =
-          if t.cfg.nonblocking_admit then Supervisor.run_nb else Supervisor.run
-        in
-        run sup ~udi ~opts ~on_rewind ~on_busy:(fun ~until:_ -> `Busy) body
-    | None -> Api.run sd ~udi ~opts ~on_rewind body
-  in
-  (match result with
+  (match Serve.run t.pipe ~udi ~on_rewind body with
   | `Busy ->
       Telemetry.Metrics.inc t.c_busy;
       Netsim.send c w.w_busy
   | `Rewound -> ()
   | `Reply (Some reply) -> Netsim.send c reply
-  | `Reply None -> drop_conn t ws c);
+  | `Reply None -> Serve.drop t.pipe ws c);
   (* The context is per-request: clear it so later work on this worker
      thread (or the next request) is not mis-attributed. *)
   Api.set_trace sd 0L
@@ -899,17 +654,17 @@ let worker_utilization t =
 let store t = t.db
 let crashed t = t.crashed
 let requests_served t = Telemetry.Metrics.counter_value t.c_served
-let rewinds t = Telemetry.Metrics.counter_value t.c_rewinds
+let rewinds t = Telemetry.Metrics.counter_value t.pipe.c_rewinds
 let busy_rejections t = Telemetry.Metrics.counter_value t.c_busy
-let shed_count t = Telemetry.Metrics.counter_value t.c_shed
-let replay_hits t = Journal.hits t.journal
-let journal t = t.journal
+let shed_count t = Telemetry.Metrics.counter_value t.pipe.c_shed
+let replay_hits t = Journal.hits t.pipe.journal
+let journal t = t.pipe.journal
 let client_domains t = Hashtbl.length t.client_udis
-let supervisor t = t.sup
-let rewind_latencies t = t.rewind_lat
+let supervisor t = t.pipe.sup
+let rewind_latencies t = t.pipe.rewind_lat
 let dropped_connections t = Telemetry.Metrics.counter_value t.c_dropped
-let metrics t = t.metrics
-let race_detector t = t.race
+let metrics t = t.pipe.metrics
+let race_detector t = t.pipe.race
 let db_bytes t = Slab.pages_allocated t.slab * Slab.slab_page_size
 let db_check t = Store.check t.db
 let evictions t = Store.evictions t.db

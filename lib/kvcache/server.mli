@@ -18,9 +18,15 @@
 
     The CVE-2011-4971 analogue is armed with [vulnerable = true]: a [set]
     whose length field is negative drives an unchecked copy loop that
-    overruns the item allocation. *)
+    overruns the item allocation.
 
-type variant = Baseline | Tlsf_alloc | Sdrad
+    The plumbing of the request chain — buffer allocators, connection
+    table, shedding, worker loop, supervised dispatch, replay journal
+    and rewind bookkeeping — is {!Serve}'s, shared with {!Httpd.Server};
+    this module holds the memcached protocols, the store and its data
+    domains. *)
+
+type variant = Serve.variant = Baseline | Tlsf_alloc | Sdrad
 
 type config = {
   variant : variant;
@@ -58,18 +64,6 @@ type config = {
   shed_queue_limit : int;
       (** shed (answer busy) when a worker's waitset backlog exceeds this
           many queued messages; 0 disables queue-depth shedding *)
-  shed_wait_limit : float;
-      (** shed when a request waited longer than this many cycles in the
-          worker's queue; 0 disables deadline-based shedding *)
-  nonblocking_admit : bool;
-      (** use {!Resilience.Supervisor.admit_nb}: a supervisor backoff
-          delay becomes a busy reply instead of parking the worker *)
-  verify_policy : bool;
-      (** {!Sdrad} variant only: after the data domains are set up, run
-          the {!Analysis.Policy} verifier over a snapshot of the monitor
-          and raise {!Analysis.Policy.Rejected} if any error-severity
-          finding (overlapping keys, unintended cross-domain visibility,
-          unreadable gate buffers) is present. Off by default. *)
   race_detector : bool;
       (** {!Sdrad} variant only: attach an {!Analysis.Race} detector at
           start. Detection is host-side — it never perturbs the

@@ -248,21 +248,6 @@ let admit t ~udi =
         Busy { until = release }
       end
 
-(* Non-blocking admission for servers that would rather shed than sleep:
-   where [admit] parks the caller until the backoff retry point,
-   [admit_nb] reports [Busy { until = retry_at }] and lets the caller
-   turn the wait into a busy reply. Every other state behaves exactly as
-   [admit]. *)
-let admit_nb t ~udi =
-  let d = dstate t udi in
-  match d.breaker with
-  | Backoff when Sched.in_thread () && Sched.now () < d.retry_at ->
-      d.d_rejections <- d.d_rejections + 1;
-      M.inc t.c_rejections;
-      Busy { until = d.retry_at }
-  | Backoff -> Admitted
-  | Closed | Half_open | Quarantined -> admit t ~udi
-
 let succeed t ~udi =
   let d = dstate t udi in
   d.strikes <- 0;
@@ -283,18 +268,6 @@ let succeed t ~udi =
    path needs no bookkeeping here — the incident handler already saw it. *)
 let run t ~udi ?opts ~on_rewind ~on_busy body =
   match admit t ~udi with
-  | Busy { until } -> on_busy ~until
-  | Admitted | Probe ->
-      Api.run t.sd ~udi ?opts ~on_rewind (fun () ->
-          let v = body () in
-          succeed t ~udi;
-          v)
-
-(* [run] with non-blocking admission: a Backoff delay becomes an
-   [on_busy] rejection instead of a sleep, so an overloaded server sheds
-   the request before burning a domain switch. *)
-let run_nb t ~udi ?opts ~on_rewind ~on_busy body =
-  match admit_nb t ~udi with
   | Busy { until } -> on_busy ~until
   | Admitted | Probe ->
       Api.run t.sd ~udi ?opts ~on_rewind (fun () ->

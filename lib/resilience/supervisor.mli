@@ -47,12 +47,6 @@ val admit : t -> udi:Sdrad.Types.udi -> verdict
     the policy); in [Quarantined] it returns [Busy] without touching any
     domain state, so the caller can degrade (serve busy / 503). *)
 
-val admit_nb : t -> udi:Sdrad.Types.udi -> verdict
-(** Non-blocking {!admit}: in [Backoff] before the retry point it returns
-    [Busy { until = retry_at }] (counted as a rejection) instead of
-    sleeping, so an overload-shedding server can convert the wait into a
-    busy reply. All other states behave exactly as {!admit}. *)
-
 val succeed : t -> udi:Sdrad.Types.udi -> unit
 (** Report a normal completion: resets the strike counter, and closes the
     breaker after a successful half-open probe. *)
@@ -67,17 +61,6 @@ val run :
   'a
 (** Supervised {!Sdrad.Api.run}: [admit] first (rejecting with [on_busy]
     when quarantined), count a normal completion as a success. *)
-
-val run_nb :
-  t ->
-  udi:Sdrad.Types.udi ->
-  ?opts:Sdrad.Types.options ->
-  on_rewind:(Sdrad.Types.fault -> 'a) ->
-  on_busy:(until:float -> 'a) ->
-  (unit -> 'a) ->
-  'a
-(** {!run} built on {!admit_nb}: a [Backoff] delay surfaces as [on_busy]
-    instead of blocking the worker. *)
 
 type 'a outcome =
   | Ok of 'a

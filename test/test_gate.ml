@@ -2,9 +2,10 @@
    WRPKRU install (skip + count when the value is already current), the
    epoch-table overflow re-seed, write counts across nested monitor
    sections and open gates, the per-(caller, callee) marshalling-buffer
-   cache with its cross-thread invalidation regression, and a 5-seed
-   differential property test pitting the elided/batched fast path
-   against the always-write slow path over a full kvcache server run. *)
+   cache with its cross-thread invalidation regression, and 5-seed
+   differential property tests pitting the elided/batched fast path
+   against the always-write slow path over full kvcache and httpd server
+   runs. *)
 
 module Space = Vmem.Space
 module Prot = Vmem.Prot
@@ -15,6 +16,8 @@ module Api = Sdrad.Api
 module Flight = Checkpoint.Flight
 module Server = Kvcache.Server
 module Proto = Kvcache.Proto
+module HServer = Httpd.Server
+module Load = Workload.Http_load
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -281,6 +284,54 @@ let cause_name = function
   | Sdrad.Types.Stack_smash -> "stack-smash"
   | Sdrad.Types.Explicit m -> "explicit " ^ m
 
+(* The monitor's side of a run, appended to [trace]: incident records,
+   per-trace flight-recorder dumps (timestamps stripped) and the final
+   domain snapshot. Returns the trace with the batched-gate call count. *)
+let dump_monitor trace sd =
+  List.iter
+    (fun f ->
+      Printf.bprintf trace "incident udi=%d tid=%d %s\n" f.Sdrad.Types.failed_udi
+        f.Sdrad.Types.tid
+        (cause_name f.Sdrad.Types.cause))
+    (Api.incidents sd);
+  List.iter
+    (fun udi ->
+      List.iter
+        (fun (e : Flight.event) ->
+          Printf.bprintf trace "flight %d: tid=%d %s trace=%Lx arg=%d\n" udi
+            e.Flight.e_tid (kind_name e.Flight.e_kind) e.Flight.e_trace
+            e.Flight.e_arg)
+        (Api.flight_events sd ~udi))
+    (Api.flight_domains sd);
+  List.iter
+    (fun (d : Api.domain_info) ->
+      Printf.bprintf trace "dom %d %s tid=%d parent=%d state=%s stack=%s regions=%s\n"
+        d.Api.di_udi
+        (match d.Api.di_kind with `Exec -> "exec" | `Data -> "data")
+        d.Api.di_tid d.Api.di_parent
+        (match d.Api.di_state with
+        | `Dormant -> "dormant"
+        | `Ready -> "ready"
+        | `Entered -> "entered")
+        (match d.Api.di_stack with
+        | Some (b, l) -> Printf.sprintf "%d+%d" b l
+        | None -> "-")
+        (String.concat ","
+           (List.map (fun (b, l) -> Printf.sprintf "%d+%d" b l) d.Api.di_regions)))
+    (Api.domains_info sd);
+  let batched =
+    let text = Telemetry.Metrics.expose (Api.metrics sd) in
+    List.fold_left
+      (fun acc line ->
+        match String.index_opt line ' ' with
+        | Some i when String.sub line 0 i = "gate_batched_calls_total" ->
+            int_of_string (String.sub line (i + 1) (String.length line - i - 1))
+        | _ -> acc)
+      0
+      (String.split_on_char '\n' text)
+  in
+  (Buffer.contents trace, batched)
+
 let run_kv_scenario ~fast seed =
   let space = Space.create ~size_mib:128 () in
   let sd = Api.create space in
@@ -359,55 +410,97 @@ let run_kv_scenario ~fast seed =
     (Server.requests_served s) (Server.rewinds s) (Space.fault_count space)
     (Server.db_bytes s);
   List.iter (Printf.bprintf trace "db: %s\n") (Server.db_check s);
-  List.iter
-    (fun f ->
-      Printf.bprintf trace "incident udi=%d tid=%d %s\n" f.Sdrad.Types.failed_udi
-        f.Sdrad.Types.tid
-        (cause_name f.Sdrad.Types.cause))
-    (Api.incidents sd);
-  List.iter
-    (fun udi ->
-      List.iter
-        (fun (e : Flight.event) ->
-          Printf.bprintf trace "flight %d: tid=%d %s trace=%Lx arg=%d\n" udi
-            e.Flight.e_tid (kind_name e.Flight.e_kind) e.Flight.e_trace
-            e.Flight.e_arg)
-        (Api.flight_events sd ~udi))
-    (Api.flight_domains sd);
-  List.iter
-    (fun (d : Api.domain_info) ->
-      Printf.bprintf trace "dom %d %s tid=%d parent=%d state=%s stack=%s regions=%s\n"
-        d.Api.di_udi
-        (match d.Api.di_kind with `Exec -> "exec" | `Data -> "data")
-        d.Api.di_tid d.Api.di_parent
-        (match d.Api.di_state with
-        | `Dormant -> "dormant"
-        | `Ready -> "ready"
-        | `Entered -> "entered")
-        (match d.Api.di_stack with
-        | Some (b, l) -> Printf.sprintf "%d+%d" b l
-        | None -> "-")
-        (String.concat ","
-           (List.map (fun (b, l) -> Printf.sprintf "%d+%d" b l) d.Api.di_regions)))
-    (Api.domains_info sd);
-  let batched =
-    let text = Telemetry.Metrics.expose (Api.metrics sd) in
-    List.fold_left
-      (fun acc line ->
-        match String.index_opt line ' ' with
-        | Some i when String.sub line 0 i = "gate_batched_calls_total" ->
-            int_of_string (String.sub line (i + 1) (String.length line - i - 1))
-        | _ -> acc)
-      0
-      (String.split_on_char '\n' text)
-  in
-  (Buffer.contents trace, batched)
+  dump_monitor trace sd
 
-let test_gate_differential () =
+(* The same property over httpd: one SDRaD worker, a seeded mix of GETs,
+   journaled POSTs (some retried under the same request id), pipelined
+   bursts and CVE-2009-2629 attacks that rewind the parser domain. *)
+let run_http_scenario ~fast seed =
+  let space = Space.create ~size_mib:128 () in
+  let sd = Api.create space in
+  if not fast then Space.set_pkru_elision space false;
+  let sched = Sched.create () in
+  let net = Netsim.create (Space.cost space) in
+  let fs = Httpd.Fs.create space in
+  Httpd.Fs.add fs ~path:"/index.html" ~size:512;
+  let cfg =
+    {
+      HServer.default_config with
+      variant = HServer.Sdrad;
+      vulnerable = true;
+      workers = 1;
+      gate_batch_limit = (if fast then 8 else 0);
+    }
+  in
+  let trace = Buffer.create 8192 in
+  let srv = ref None in
+  let _ =
+    Sched.spawn sched ~name:"harness" (fun () ->
+        let s = HServer.start sched space ~sdrad:sd net ~fs cfg in
+        srv := Some s;
+        let rng = Rng.create seed in
+        let c = ref (Netsim.connect net ~port:8080) in
+        let fresh () =
+          if (not (Netsim.is_open !c)) || Netsim.peer_closed !c then
+            c := Netsim.connect net ~port:8080
+        in
+        let record i r =
+          Printf.bprintf trace "%d %s\n" i
+            (match r with Some x -> x | None -> "<closed>")
+        in
+        let post rid =
+          Printf.sprintf
+            "POST /count HTTP/1.1\r\nHost: x\r\nX-Request-Id: r%d\r\n\
+             Content-Length: 0\r\n\r\n"
+            rid
+        in
+        for i = 1 to 60 do
+          fresh ();
+          match Rng.int rng 10 with
+          | 0 | 1 | 2 ->
+              Netsim.send !c (Load.request ~path:"/index.html");
+              record i (Netsim.recv !c)
+          | 3 | 4 ->
+              (* a small id space, so some POSTs replay from the journal *)
+              Netsim.send !c (post (Rng.int rng 12));
+              record i (Netsim.recv !c)
+          | 5 ->
+              Netsim.send !c (Load.request ~path:"/missing");
+              record i (Netsim.recv !c)
+          | 6 | 7 | 8 ->
+              (* pipelined burst: what the batched gate coalesces *)
+              let n = 2 + Rng.int rng 3 in
+              for j = 1 to n do
+                Netsim.send !c
+                  (if j mod 2 = 0 then post (100 + Rng.int rng 12)
+                   else Load.request ~path:"/index.html")
+              done;
+              for j = 1 to n do
+                record (i + (j * 1000)) (Netsim.recv !c)
+              done
+          | _ ->
+              Netsim.send !c
+                (Printf.sprintf
+                   "GET /a/../../etc HTTP/1.1\r\nHost: x\r\n\
+                    traceparent: 00-%032x-%016x-01\r\n\r\n"
+                   ((seed * 1000) + i) i);
+              record i (Netsim.recv !c)
+        done;
+        Netsim.close !c;
+        HServer.stop s)
+  in
+  Sched.run sched;
+  let s = Option.get !srv in
+  Printf.bprintf trace "served=%d rewinds=%d faults=%d posts=%d replays=%d\n"
+    (HServer.requests_served s) (HServer.rewinds s) (Space.fault_count space)
+    (HServer.post_count s) (HServer.replay_hits s);
+  dump_monitor trace sd
+
+let differential run () =
   List.iter
     (fun seed ->
-      let fast, fast_batched = run_kv_scenario ~fast:true seed in
-      let slow, slow_batched = run_kv_scenario ~fast:false seed in
+      let fast, fast_batched = run ~fast:true seed in
+      let slow, slow_batched = run ~fast:false seed in
       check int "slow path never batches" 0 slow_batched;
       check bool "fast path coalesced something" true (fast_batched > 0);
       if not (String.equal fast slow) then begin
@@ -453,6 +546,8 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "fast path ≡ slow path (5 seeds)" `Quick
-            test_gate_differential;
+            (differential run_kv_scenario);
+          Alcotest.test_case "httpd fast path ≡ slow path (5 seeds)" `Quick
+            (differential run_http_scenario);
         ] );
     ]

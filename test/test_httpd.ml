@@ -286,6 +286,33 @@ let test_rewind_limit_forces_restart () =
   check int "one proactive restart" 1 (Server.proactive_restarts s);
   check int "counted as worker restart" 1 (Server.worker_restarts s)
 
+(* Connection churn must leave resident memory flat: every accepted
+   connection's buffer is freed when the connection is dropped. *)
+let test_conn_churn_keeps_rss_flat () =
+  let space = Space.create ~size_mib:128 () in
+  let sched = Sched.create () in
+  let net = Netsim.create (Space.cost space) in
+  let cfg = { Server.default_config with variant = Server.Tlsf_alloc } in
+  let rss = ref (0, 0) in
+  let _ =
+    Sched.spawn sched ~name:"harness" (fun () ->
+        let s = Server.start sched space net ~fs:(mk_fs space) cfg in
+        let churn n =
+          for _ = 1 to n do
+            ignore (get net 8080 "/index.html")
+          done
+        in
+        (* Warm up: the first buffer region is mapped and touched. *)
+        churn 20;
+        let before = Space.rss_bytes space in
+        churn 200;
+        rss := (before, Space.rss_bytes space);
+        Server.stop s)
+  in
+  Sched.run sched;
+  let before, after = !rss in
+  check bool "warm-up ran" true (before > 0);
+  check int "rss unchanged over 200 connections" before after
 
 let test_connection_close_honored () =
   let _ =
@@ -549,6 +576,8 @@ let () =
             test_cve_sdrad_rewinds_connection_scoped;
           Alcotest.test_case "sdrad benign parsing" `Quick test_sdrad_normal_parsing_unaffected;
           Alcotest.test_case "rewind limit restart" `Quick test_rewind_limit_forces_restart;
+          Alcotest.test_case "connection churn keeps rss flat" `Quick
+            test_conn_churn_keeps_rss_flat;
         ] );
       ( "client-certs",
         [

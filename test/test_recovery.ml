@@ -361,9 +361,9 @@ let test_journal_eviction_in_server () =
           Alcotest.failf "thread %s failed: %s" name (Printexc.to_string e))
     (Sched.outcomes sched)
 
-(* {1 Non-blocking supervisor admission} *)
+(* {1 Supervisor admission during backoff} *)
 
-let test_admit_nb_does_not_park () =
+let test_admit_parks_through_backoff () =
   let space = Space.create ~size_mib:32 () in
   let sd = Api.create space in
   let sched = Sched.create () in
@@ -394,20 +394,12 @@ let test_admit_nb_does_not_park () =
         | `Rewound -> ()
         | _ -> Alcotest.fail "fault must rewind");
         let t0 = Sched.now () in
-        (match Supervisor.admit_nb sup ~udi with
-        | Supervisor.Busy { until } ->
-            check bool "busy names a future retry point" true (until > t0)
-        | _ -> Alcotest.fail "admit_nb must refuse during backoff");
-        check bool "admit_nb did not advance the clock" true (Sched.now () = t0);
-        (* The blocking variant parks the caller until the retry point. *)
+        (* Admission parks the caller until the retry point. *)
         (match Supervisor.admit sup ~udi with
         | Supervisor.Admitted | Supervisor.Probe -> ()
         | Supervisor.Busy _ -> Alcotest.fail "blocking admit must wait, not refuse");
         check bool "blocking admit slept through the backoff" true
-          (Sched.now () > t0);
-        (* Once past the retry point, admit_nb admits again. *)
-        check bool "admit_nb admits after the backoff" true
-          (Supervisor.admit_nb sup ~udi = Supervisor.Admitted))
+          (Sched.now () > t0))
   in
   Sched.run sched;
   List.iter
@@ -740,8 +732,8 @@ let () =
         ] );
       ( "admission",
         [
-          Alcotest.test_case "admit_nb does not park" `Quick
-            test_admit_nb_does_not_park;
+          Alcotest.test_case "blocking admit parks" `Quick
+            test_admit_parks_through_backoff;
         ] );
       ( "shedding",
         [
